@@ -4,7 +4,7 @@
 //!     cargo run -p bench --release --bin gates -- \
 //!         --json BENCH_ci.json \
 //!         --max-blocked-take-ratio 0.0747 \
-//!         --max-seq-lw-ratio 1.53 \
+//!         --max-seq-lw-ratio 1.61 \
 //!         [--strict] [--baseline BENCH_baseline.json] \
 //!         [--schedtest-json SCHEDTEST_ci.json] \
 //!         [--faults-json FAULTS_ci.json]

@@ -116,6 +116,12 @@ impl Interp {
     }
 
     /// Register a native `::` method (e.g. `this::wordToNumber(w)`).
+    ///
+    /// Natives are called with no interpreter lock held: the table lock
+    /// covers only the lookup. So a native may run concurrently with
+    /// itself and with other natives on several pipe-producer threads, and
+    /// it may re-enter the interpreter (evaluate through a clone of this
+    /// `Interp`, or register further natives) from inside its call.
     pub fn register_native(
         &self,
         name: &str,
@@ -819,10 +825,13 @@ fn dispatch_native(
     method: &str,
     args: &[Value],
 ) -> Option<Value> {
-    if let Some(f) = shared.natives.lock().get(method).cloned() {
-        return f(target, args);
+    // Bound first: Rust 2021 keeps an `if let` scrutinee's guard alive
+    // through the body, which would hold the table lock across the call.
+    let native = shared.natives.lock().get(method).cloned();
+    match native {
+        Some(f) => f(target, args),
+        None => rt::native_method(target, method, args),
     }
-    rt::native_method(target, method, args)
 }
 
 #[cfg(test)]

@@ -398,6 +398,72 @@ fn registered_host_native_method() {
     assert_eq!(v[0].as_int(), Some(35 * 36 + 35));
 }
 
+/// Run `body` on its own thread and fail (rather than hang) if it does not
+/// finish within `secs` seconds.
+fn with_watchdog<T: Send + 'static>(secs: u64, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(secs))
+        .expect("interpreter call did not finish: deadlock?")
+}
+
+#[test]
+fn natives_run_concurrently() {
+    // `meet` is a two-party rendezvous: each call returns its argument once
+    // both parties have arrived, or fails after a timeout. Two pipes can
+    // only both succeed if their native calls overlap in time.
+    let i = Interp::new();
+    let arrived = Arc::new((std::sync::Mutex::new(0u32), std::sync::Condvar::new()));
+    i.register_native("meet", move |_this, args| {
+        let (count, cv) = &*arrived;
+        let mut n = count.lock().unwrap();
+        *n += 1;
+        cv.notify_all();
+        let (_guard, timeout) = cv
+            .wait_timeout_while(n, std::time::Duration::from_secs(5), |n| *n < 2)
+            .unwrap();
+        if timeout.timed_out() {
+            return None;
+        }
+        args.first().cloned()
+    });
+    i.eval("this := &null").unwrap();
+    i.eval("ps := [|> this::meet(1), |> this::meet(2)]")
+        .unwrap();
+    assert_eq!(eval_ints(&i, "@ps[1] + @ps[2]"), vec![3]);
+}
+
+#[test]
+fn native_may_reenter_interpreter() {
+    // A native that evaluates Junicon through a clone of its interpreter.
+    let got = with_watchdog(10, || {
+        let i = Interp::new();
+        let inner = i.clone();
+        i.register_native("inner", |_this, _args| Some(Value::from(7)));
+        i.register_native("outer", move |_this, _args| {
+            inner.eval_first("this::inner()").ok().flatten()
+        });
+        i.eval("this := &null").unwrap();
+        ints(i.eval("this::outer()").unwrap())
+    });
+    assert_eq!(got, vec![7]);
+
+    // A native that registers another native from inside its call.
+    let got = with_watchdog(10, || {
+        let i = Interp::new();
+        let registrar = i.clone();
+        i.register_native("install", move |_this, _args| {
+            registrar.register_native("later", |_this, _args| Some(Value::from(5)));
+            Some(Value::from(1))
+        });
+        i.eval("this := &null").unwrap();
+        ints(i.eval("this::install() + this::later()").unwrap())
+    });
+    assert_eq!(got, vec![6]);
+}
+
 #[test]
 fn registered_host_procedure() {
     let i = Interp::new();

@@ -23,7 +23,12 @@
 #                                 gates`, tested in
 #                                 crates/bench/tests/gates.rs) plus a
 #                                 report-only drift table against the
-#                                 committed BENCH_baseline.json.
+#                                 committed BENCH_baseline.json;
+#   8. perfbench self-test      — every workload of the source-level
+#                                 benchmark (perfbench/, BENCHMARK.json)
+#                                 at a tiny size, both modes, every
+#                                 metric with its unit, plus the
+#                                 wrong-reference check.
 #
 # Strictness: under CI=1 (or CI=true — what GitHub Actions exports) any
 # "loud skip" becomes a hard failure: a runner without rustfmt/clippy, or
@@ -52,10 +57,10 @@ loud_skip() {
     fi
 }
 
-step "[1/7] tier-1 verify (hermetic guard + build + test)"
+step "[1/8] tier-1 verify (hermetic guard + build + test)"
 scripts/verify.sh
 
-step "[2/7] cargo fmt --check"
+step "[2/8] cargo fmt --check"
 if command -v rustfmt > /dev/null 2>&1; then
     cargo fmt --all -- --check
     echo "   ok: formatting clean"
@@ -63,7 +68,7 @@ else
     loud_skip "rustfmt is not installed (rustup component add rustfmt)"
 fi
 
-step "[3/7] cargo clippy --workspace --all-targets -- -D warnings"
+step "[3/8] cargo clippy --workspace --all-targets -- -D warnings"
 if cargo clippy --version > /dev/null 2>&1; then
     cargo clippy --workspace --all-targets --offline -- -D warnings
     echo "   ok: clippy clean"
@@ -71,7 +76,7 @@ else
     loud_skip "clippy is not installed (rustup component add clippy)"
 fi
 
-step "[4/7] obs feature matrix (on + isolated off)"
+step "[4/8] obs feature matrix (on + isolated off)"
 # With the feature: the whole workspace, all targets (bench + root
 # already default it on, but be explicit for the instrumented crates).
 OBS_CRATES=(gde blockingq exec pipes mapreduce wordcount)
@@ -97,10 +102,10 @@ done
 cargo build --offline -q -p faultinj --features obs
 echo "   ok: faultpoint builds (faultinj on)"
 
-step "[5/7] examples smoke"
+step "[5/8] examples smoke"
 scripts/examples_smoke.sh
 
-step "[6/7] schedtest smoke -> SCHEDTEST_ci.json (schedule-exploration model tests)"
+step "[6/8] schedtest smoke -> SCHEDTEST_ci.json (schedule-exploration model tests)"
 # The deterministic schedule-exploration suites (crates/schedtest/tests/
 # model_*.rs) under the virtual scheduler: RUSTFLAGS="--cfg schedtest"
 # swaps the parking_lot shim to virtual primitives, so the build lands in
@@ -119,7 +124,7 @@ RUSTFLAGS="--cfg schedtest" CARGO_TARGET_DIR=target/schedtest \
     -- --test-threads=1
 echo "   ok: model suites green ($(wc -l < SCHEDTEST_ci.json) explorations summarized)"
 
-step "[7/7] bench smoke -> BENCH_ci.json, then the regression gates"
+step "[7/8] bench smoke -> BENCH_ci.json, then the regression gates"
 # Small corpus + few iterations: this is a wiring check (does the
 # harness run, do the gates hold), not a measurement. BENCH_baseline.json
 # is the committed full-size run.
@@ -217,6 +222,19 @@ if [ "$STRICT" = "1" ]; then
 fi
 cargo run --offline -q -p bench --release --bin gates -- "${GATE_FLAGS[@]}" \
     | sed 's/^/   /'
+
+step "[8/8] perfbench self-test (source-level benchmark, tiny sizes)"
+# A wiring check, not a measurement: each workload runs briefly in both
+# modes and every BENCHMARK.json metric must be reported with its unit.
+# It builds in its own target dir so the two perfbench builds (plain and
+# traced) do not thrash the workspace cache.
+if command -v python3 > /dev/null 2>&1; then
+    CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py --self-test \
+        | sed 's/^/   /'
+    echo "   ok: perfbench self-test"
+else
+    loud_skip "python3 is not installed (needed by perfbench/run.py)"
+fi
 
 echo
 echo "ci: OK"
