@@ -1,14 +1,11 @@
-//! Microbench for the allocation-free string plane (DESIGN.md § "String
-//! builder arena"): what do the three string operators cost per call,
-//! builder-backed versus the old allocate-per-result implementations?
+//! Microbench for the string plane (DESIGN.md § "String plane"): what
+//! does each string operator cost per call?
 //!
 //! Three groups:
 //!
-//! * `str_ops/concat_*` — a `word || "=" || count` report chain per word:
-//!   `builder` is `ops::concat` (arena append + tail extension), `owned`
-//!   is `ops::concat_owned` (fresh `String` + `Arc<str>` per `||`), and
-//!   `widen` concatenates two adjacent subscript windows (the zero-copy
-//!   adjacency fast path);
+//! * `str_ops/concat` — a `word || "=" || count` report chain per word:
+//!   `ops::concat` coerces both operands on the stack and writes one
+//!   exact-capacity owned string per `||`;
 //! * `str_ops/coerce_*` — numeric-vs-string comparisons: `str_lt` coerces
 //!   its integer operand through the small-int image cache / stack
 //!   formatter instead of allocating an `Arc<str>` per compare;
@@ -16,7 +13,7 @@
 //!   path, multi-byte words a single `char_indices` scan with an early
 //!   exit, negative indices replay the cached char count.
 //!
-//! Wired into `scripts/ci.sh` bench-smoke so the string-plane gap is
+//! Wired into `scripts/ci.sh` bench-smoke so the string-plane costs are
 //! re-measured (cheaply) on every CI run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -43,43 +40,12 @@ fn bench_concat(c: &mut Criterion) {
     let eq = Value::interned("=");
     let mut group = c.benchmark_group("str_ops");
 
-    group.bench_function("concat_builder", |b| {
-        // word || "=" || count through the arena: one copy into the
-        // chunk, then a tail extension per extra hop.
+    group.bench_function("concat", |b| {
         b.iter(|| {
             for (i, w) in words.iter().enumerate() {
                 let n = Value::from((i % 256) as i64);
                 let line = gde::ops::concat(w, &eq).and_then(|l| gde::ops::concat(&l, &n));
                 black_box(line);
-            }
-        })
-    });
-    group.bench_function("concat_owned", |b| {
-        // The pre-arena implementation: String + Arc<str> per ||.
-        b.iter(|| {
-            for (i, w) in words.iter().enumerate() {
-                let n = Value::from((i % 256) as i64);
-                let line =
-                    gde::ops::concat_owned(w, &eq).and_then(|l| gde::ops::concat_owned(&l, &n));
-                black_box(line);
-            }
-        })
-    });
-    group.bench_function("concat_widen", |b| {
-        // Two adjacent subscript windows of the same owner: the result is
-        // a wider window, zero bytes copied.
-        let pairs: Vec<(Value, Value)> = words
-            .iter()
-            .map(|w| {
-                (
-                    gde::ops::index(w, &Value::from(1)).unwrap(),
-                    gde::ops::index(w, &Value::from(2)).unwrap(),
-                )
-            })
-            .collect();
-        b.iter(|| {
-            for (a, b2) in &pairs {
-                black_box(gde::ops::concat(a, b2));
             }
         })
     });

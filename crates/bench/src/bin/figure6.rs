@@ -72,20 +72,6 @@ fn main() {
         );
     }
 
-    // One untimed pass of the concat-heavy embedded program: the word
-    // suite proper never concatenates, so this is what puts the builder
-    // arena's counters (`gde.value.concat_slices` etc.) into the obs
-    // snapshot below — the wiring gate checks they are non-zero there.
-    {
-        let corpus = wordcount::corpus::Corpus::generate(64, cfg.words_per_line.max(2), cfg.seed);
-        let report = wordcount::embedded::frequency_report(&corpus);
-        assert_eq!(
-            report,
-            wordcount::native::frequency_report(corpus.lines()),
-            "embedded frequency report diverged from native"
-        );
-    }
-
     #[cfg(feature = "obs")]
     {
         // Register the environment counters even if nothing bumped them:

@@ -21,10 +21,7 @@
 //! 4. **compact-values** — `gde.value.inline_hits > 0`: the compact
 //!    value representation is still on the hot path (DESIGN.md § Compact
 //!    values);
-//! 5. **concat-slices** — `gde.value.concat_slices > 0`: concatenation
-//!    still reaches the builder arena's zero-copy regimes (DESIGN.md §
-//!    String builder arena);
-//! 6. **embedded/native ratio** — the Sequential-Lightweight
+//! 5. **embedded/native ratio** — the Sequential-Lightweight
 //!    Junicon/Native median ratio stays under baseline + 15% headroom.
 
 use crate::json::Json;
@@ -132,13 +129,7 @@ pub fn run_gates(doc: &Json, th: &Thresholds) -> Vec<GateReport> {
             out.push(GateReport::fail("schema", problem));
             // The document is not trustworthy; report the rest as failed
             // rather than guessing through a broken shape.
-            for name in [
-                "contention",
-                "fusion",
-                "compact-values",
-                "concat-slices",
-                "seq-lw-ratio",
-            ] {
+            for name in ["contention", "fusion", "compact-values", "seq-lw-ratio"] {
                 out.push(GateReport::fail(
                     name,
                     "not evaluated: schema gate failed".into(),
@@ -202,17 +193,7 @@ pub fn run_gates(doc: &Json, th: &Thresholds) -> Vec<GateReport> {
          representation is off the hot path (DESIGN.md § Compact values)",
     ));
 
-    // 5. Builder-arena wiring: the figure6 run's untimed report pass
-    // must reach the zero-copy concat regimes.
-    out.push(wiring_gate(
-        doc,
-        "concat-slices",
-        "gde.value.concat_slices",
-        "no concatenation widened or tail-extended an arena window — the \
-         string builder is off the hot path (DESIGN.md § String builder arena)",
-    ));
-
-    // 6. Embedded/native Sequential-Lightweight ratio. Missing cells are
+    // 5. Embedded/native Sequential-Lightweight ratio. Missing cells are
     // a failure: the old grep skipped, which is how a renamed variant
     // could turn the gate off forever.
     out.push(

@@ -27,12 +27,11 @@ fn status_of<'a>(reports: &'a [GateReport], name: &str) -> &'a GateReport {
         .unwrap_or_else(|| panic!("no report for gate {name}"))
 }
 
-const ALL_GATES: [&str; 6] = [
+const ALL_GATES: [&str; 5] = [
     "schema",
     "contention",
     "fusion",
     "compact-values",
-    "concat-slices",
     "seq-lw-ratio",
 ];
 
@@ -93,26 +92,6 @@ fn compact_values_gate_trips_alone() {
 }
 
 #[test]
-fn concat_slices_gate_trips_alone() {
-    let reports = gate_on(include_str!("fixtures/concat_trip.json"));
-    for name in ALL_GATES {
-        let r = status_of(&reports, name);
-        let want = if name == "concat-slices" {
-            GateStatus::Fail
-        } else {
-            GateStatus::Pass
-        };
-        assert_eq!(r.status, want, "{name}: {}", r.detail);
-    }
-    assert!(
-        status_of(&reports, "concat-slices")
-            .detail
-            .contains("builder"),
-        "detail points at the builder arena"
-    );
-}
-
-#[test]
 fn seq_lw_ratio_gate_trips_alone() {
     let reports = gate_on(include_str!("fixtures/ratio_trip.json"));
     for name in ALL_GATES {
@@ -141,7 +120,6 @@ fn obs_null_skips_counter_gates_only() {
         ("contention", GateStatus::Skip),
         ("fusion", GateStatus::Skip),
         ("compact-values", GateStatus::Skip),
-        ("concat-slices", GateStatus::Skip),
         ("seq-lw-ratio", GateStatus::Pass),
     ] {
         let r = status_of(&reports, name);

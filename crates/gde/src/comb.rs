@@ -629,7 +629,7 @@ impl Gen for Promote {
                     let v = (self.src)().deref();
                     self.state = match v {
                         Value::List(l) => PromoteState::Items(values(l.lock().clone())),
-                        s @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)) => {
+                        s @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_)) => {
                             PromoteState::Items(values(
                                 s.as_str()
                                     .expect("string form")

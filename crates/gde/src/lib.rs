@@ -75,8 +75,6 @@ pub(crate) mod obs_hot {
     cached_counter!(value_inline_hits, "gde.value.inline_hits");
     cached_counter!(value_promotions, "gde.value.promotions");
     cached_counter!(value_arc_clones, "gde.value.arc_clones");
-    cached_counter!(concat_slices, "gde.value.concat_slices");
-    cached_counter!(concat_copies, "gde.value.concat_copies");
     cached_counter!(coerce_cached, "gde.value.coerce_cached");
 }
 
@@ -97,8 +95,6 @@ pub fn obs_register() {
     let _ = obs_hot::value_inline_hits();
     let _ = obs_hot::value_promotions();
     let _ = obs_hot::value_arc_clones();
-    let _ = obs_hot::concat_slices();
-    let _ = obs_hot::concat_copies();
     let _ = obs_hot::coerce_cached();
 }
 
@@ -107,7 +103,6 @@ pub mod env;
 pub mod func;
 mod gen;
 pub mod ops;
-pub mod strbuf;
 pub mod sym;
 mod value;
 mod var;
@@ -115,7 +110,6 @@ mod var;
 pub use env::{Env, FrameLayout};
 pub use func::ProcValue;
 pub use gen::{BoxGen, Gen, GenExt, GenIter, Step};
-pub use strbuf::{StrBuf, StrBuilder};
 pub use sym::Symbol;
-pub use value::{BuiltStr, CoRef, Coroutine, Key, ObjData, ObjRef, StrSlice, Value};
+pub use value::{CoRef, Coroutine, Key, ObjData, ObjRef, StrSlice, Value};
 pub use var::Var;

@@ -12,7 +12,6 @@
 //!   producing 5*, `5 < 4` fails. This is what lets comparisons chain and
 //!   filter inside generator products, e.g. `1 <= x <= 10`.
 
-use crate::strbuf;
 use crate::sym::Symbol;
 use crate::value::Value;
 use bigint::BigInt;
@@ -36,7 +35,7 @@ pub fn to_num(v: &Value) -> Option<Num> {
         Value::Int(i) => Some(Num::Int(i)),
         Value::Big(b) => Some(Num::Big((*b).clone())),
         Value::Real(r) => Some(Num::Real(r)),
-        s @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)) => {
+        s @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_)) => {
             let s = s.as_str().expect("string form").trim();
             if let Ok(i) = s.parse::<i64>() {
                 Some(Num::Int(i))
@@ -290,7 +289,6 @@ pub fn to_text<'a>(v: &'a Value, buf: &'a mut NumBuf) -> Option<&'a str> {
         Value::Str(s) => Some(s),
         Value::Sym(s) => Some(s.as_str()),
         Value::Slice(s) => Some(s.as_str()),
-        Value::Built(s) => Some(s.as_str()),
         Value::Int(i) => {
             write!(buf, "{i}").ok()?;
             obs_on!(crate::obs_hot::coerce_cached().inc());
@@ -350,7 +348,6 @@ pub fn to_str(v: &Value) -> Option<Arc<str>> {
         // Interned handles already own a canonical shared allocation.
         Value::Sym(s) => Some(s.arc()),
         Value::Slice(s) => Some(Arc::from(s.as_str())),
-        Value::Built(s) => Some(Arc::from(s.as_str())),
         Value::Int(i) => Some(int_arc(i)),
         Value::Big(b) => Some(Arc::from(b.to_string().as_str())),
         Value::Real(r) => {
@@ -389,96 +386,20 @@ fn format_real_into(r: f64, buf: &mut NumBuf) {
     }
 }
 
-/// String concatenation (`||`) with coercion, backed by the builder
-/// arena ([`crate::strbuf`]). Three regimes, cheapest first:
-///
-/// * both operands are windows of the same owner and textually adjacent
-///   → the result is a *wider window*, nothing copied (`concat_slices`);
-/// * the left operand is the last published window of this thread's
-///   builder chunk → only the right operand's bytes are appended and the
-///   window widens over both (`concat_slices`) — this is what makes
-///   left-leaning concat chains (`((a || b) || c) || …`) linear instead
-///   of quadratic;
-/// * otherwise both coerced texts are appended into the arena and the
-///   result windows over the pair (`concat_copies`).
-///
-/// The result is a borrowed [`Value::Built`] (or widened
-/// [`Value::Slice`]) handle: it pins its chunk and promotes at every
-/// escape route, exactly like the line-arena slices. For an owned result
-/// (the pre-arena behaviour) use [`concat_owned`].
+/// String concatenation (`||`) with coercion: both operands coerce
+/// through [`to_text`] (numbers format into stack [`NumBuf`]s) and the
+/// result is one exact-capacity owned [`Value::Str`], which pins neither
+/// operand's line buffer.
 pub fn concat(a: &Value, b: &Value) -> Option<Value> {
     let (mut da, mut db) = (None, None);
     let a = deref_into(a, &mut da);
     let b = deref_into(b, &mut db);
-    if let Some(widened) = try_widen(a, b) {
-        return Some(widened);
-    }
-    if let Value::Built(x) = a {
-        // Tail extension: `x` ends exactly at the current chunk's
-        // published length, so appending `b` widens it in place.
-        let mut bbuf = NumBuf::new();
-        let btext = to_text(b, &mut bbuf)?;
-        if let Some(w) = strbuf::with_builder(|bl| bl.try_extend(&x.window(), btext)) {
-            obs_on!(crate::obs_hot::concat_slices().inc());
-            return Some(Value::built(w));
-        }
-        obs_on!(crate::obs_hot::concat_copies().inc());
-        return Some(Value::built(strbuf::with_builder(|bl| {
-            bl.push_concat(x.as_str(), btext)
-        })));
-    }
     let (mut abuf, mut bbuf) = (NumBuf::new(), NumBuf::new());
     let x = to_text(a, &mut abuf)?;
     let y = to_text(b, &mut bbuf)?;
-    obs_on!(crate::obs_hot::concat_copies().inc());
-    Some(Value::built(strbuf::with_builder(|bl| {
-        bl.push_concat(x, y)
-    })))
-}
-
-/// The adjacency fast path: two windows of the same owner where `a` ends
-/// exactly where `b` starts merge into one wider window of that owner —
-/// zero bytes copied. (The test-only `strbuf::ADJACENCY_SKEW` hook
-/// shortens the widened window by one byte so the differential suite can
-/// prove an off-by-one here is caught.)
-fn try_widen(a: &Value, b: &Value) -> Option<Value> {
-    let skew = |len: u32| {
-        if strbuf::adjacency_skew() {
-            len.saturating_sub(1)
-        } else {
-            len
-        }
-    };
-    match (a, b) {
-        (Value::Slice(x), Value::Slice(y)) if Arc::ptr_eq(x.owner(), y.owner()) => {
-            let ((xs, xl), (ys, yl)) = (x.bounds(), y.bounds());
-            if xs + xl == ys {
-                obs_on!(crate::obs_hot::concat_slices().inc());
-                return Some(Value::Slice(x.with_bounds(xs, skew(xl + yl))));
-            }
-            None
-        }
-        (Value::Built(x), Value::Built(y)) if Arc::ptr_eq(x.owner(), y.owner()) => {
-            let ((xs, xl), (ys, yl)) = (x.bounds(), y.bounds());
-            if xs + xl == ys {
-                obs_on!(crate::obs_hot::concat_slices().inc());
-                return Some(Value::Built(x.with_bounds(xs, skew(xl + yl))));
-            }
-            None
-        }
-        _ => None,
-    }
-}
-
-/// String concatenation into a fresh owned `String` — the pre-arena
-/// implementation, kept as the reference ("builder off") side of the
-/// boxed-vs-builder differential suite and for callers that genuinely
-/// want an owned result.
-pub fn concat_owned(a: &Value, b: &Value) -> Option<Value> {
-    let (x, y) = (to_str(a)?, to_str(b)?);
     let mut s = String::with_capacity(x.len() + y.len());
-    s.push_str(&x);
-    s.push_str(&y);
+    s.push_str(x);
+    s.push_str(y);
     Some(Value::from(s))
 }
 
@@ -537,20 +458,19 @@ pub fn equiv(a: &Value, b: &Value) -> Option<Value> {
 /// collect is gone. ASCII text (the hot case) resolves the character in
 /// O(1); other text takes a single `char_indices` walk with early exit
 /// at the target. Negative and zero indices need the character count —
-/// replayed from the [`BuiltStr`](crate::BuiltStr) cache or counted with
+/// replayed from the [`StrSlice`](crate::StrSlice) cache or counted with
 /// the ASCII fast path. The result is a *window into the subscripted
-/// value's own owner* (its line buffer, arena chunk, or interner node) —
-/// no allocation on any string path.
+/// value's own owner* (its line buffer, owned allocation, or interner
+/// node) — no allocation on any string path.
 pub fn index(x: &Value, i: &Value) -> Option<Value> {
     match x.deref() {
-        ref sv @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)) => {
+        ref sv @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_)) => {
             let text = sv.as_str().expect("string form");
             let raw = raw_icon_index(i)?;
             let idx = if raw > 0 {
                 (raw - 1) as usize
             } else {
                 let chars = match sv {
-                    Value::Built(s) => s.char_len(),
                     Value::Slice(s) => s.char_len(),
                     _ => crate::value::str_char_len(text),
                 };
@@ -565,10 +485,6 @@ pub fn index(x: &Value, i: &Value) -> Option<Value> {
                 Value::Slice(s) => {
                     let (start, _) = s.bounds();
                     Value::Slice(s.with_bounds(start + bs as u32, (be - bs) as u32))
-                }
-                Value::Built(s) => {
-                    let (start, _) = s.bounds();
-                    Value::Built(s.with_bounds(start + bs as u32, (be - bs) as u32))
                 }
                 Value::Str(s) => Value::slice(s.clone(), bs, be),
                 // A symbol's text is a canonical immortal allocation:
@@ -760,72 +676,49 @@ mod tests {
     }
 
     #[test]
-    fn concat_yields_arena_windows() {
-        let v = concat(&s("ab"), &s("cd")).unwrap();
-        assert!(
-            matches!(v, Value::Built(_)),
-            "fresh concat lands in the arena"
-        );
-        assert_eq!(v.as_str(), Some("abcd"));
-        // A left-leaning chain tail-extends: every link shares one chunk
-        // window with the previous result.
-        let chain = concat(&concat(&v, &s("-")).unwrap(), &i(7)).unwrap();
-        assert_eq!(chain.as_str(), Some("abcd-7"));
-        if let (Value::Built(a), Value::Built(b)) = (&v, &chain) {
-            assert!(
-                Arc::ptr_eq(a.owner(), b.owner()),
-                "chain must stay in one chunk"
-            );
-        } else {
-            panic!("chain result must be Built");
-        }
-    }
-
-    #[test]
-    fn concat_widens_adjacent_slices_without_copying() {
-        let line: Arc<str> = Arc::from("hello world");
-        let a = Value::slice(line.clone(), 0, 5);
-        let b = Value::slice(line.clone(), 5, 11);
-        let joined = concat(&a, &b).unwrap();
-        match &joined {
-            Value::Slice(w) => {
-                assert!(
-                    Arc::ptr_eq(w.owner(), &line),
-                    "widening must reuse the owner"
-                );
-                assert_eq!(w.as_str(), "hello world");
-            }
-            other => panic!("adjacent slices must widen, got {other:?}"),
-        }
-        // Non-adjacent windows of the same owner fall back to a copy.
-        let c = Value::slice(line.clone(), 0, 5);
-        let d = Value::slice(line.clone(), 6, 11);
-        let copied = concat(&c, &d).unwrap();
-        assert!(matches!(copied, Value::Built(_)));
-        assert_eq!(copied.as_str(), Some("helloworld"));
-    }
-
-    #[test]
-    fn concat_owned_matches_builder_concat() {
+    fn concat_coerces_every_scalar_form() {
         let line: Arc<str> = Arc::from("one two three");
         let cases = [
-            (s("a"), s("b")),
-            (s(""), s("xy")),
+            (s("a"), s("b"), "ab"),
+            (s(""), s("xy"), "xy"),
             (
                 Value::slice(line.clone(), 0, 3),
                 Value::slice(line.clone(), 3, 7),
+                "one two",
             ),
-            (Value::interned("k"), i(255)),
-            (i(-4), Value::from(2.5)),
-            (s("r="), Value::from(3.0)),
+            (Value::interned("k"), i(255), "k255"),
+            (i(-4), Value::from(2.5), "-42.5"),
+            (s("r="), Value::from(3.0), "r=3.0"),
+            (Value::Ref(crate::var::Var::new(s("ref"))), i(1), "ref1"),
         ];
-        for (a, b) in cases {
-            let owned = concat_owned(&a, &b);
-            let built = concat(&a, &b);
-            assert_eq!(owned, built, "{a:?} || {b:?} diverged");
+        for (a, b, want) in cases {
+            let v = concat(&a, &b).unwrap();
+            assert!(matches!(v, Value::Str(_)), "{a:?} || {b:?} must be owned");
+            assert_eq!(v.as_str(), Some(want), "{a:?} || {b:?}");
         }
+        // A frequency report line: `word || "=" || n` over a borrowed word.
+        let word = Value::slice(line.clone(), 4, 7);
+        let report = concat(&concat(&word, &s("=")).unwrap(), &i(3)).unwrap();
+        assert_eq!(report.as_str(), Some("two=3"));
         assert_eq!(concat(&Value::list(vec![]), &s("x")), None);
         assert_eq!(concat(&s("x"), &Value::list(vec![])), None);
+    }
+
+    #[test]
+    fn concat_result_pins_no_arena() {
+        // Adjacent windows of one line: the result must be a copy, not a
+        // wider window that keeps the line alive.
+        let line: Arc<str> = Arc::from("hello world");
+        let weak = Arc::downgrade(&line);
+        let a = Value::slice(line.clone(), 0, 5);
+        let b = Value::slice(line, 5, 11);
+        let joined = concat(&a, &b).unwrap();
+        drop((a, b));
+        assert!(
+            weak.upgrade().is_none(),
+            "a concat result must not pin its operands' line"
+        );
+        assert_eq!(joined.as_str(), Some("hello world"));
     }
 
     #[test]
@@ -889,10 +782,10 @@ mod tests {
             }
             other => panic!("expected a slice window, got {other:?}"),
         }
-        // Built subscripts window the chunk.
-        let built = concat(&s("wi"), &s("de")).unwrap();
-        let d = index(&built, &i(4)).unwrap();
-        assert!(matches!(d, Value::Built(_)));
+        // Owned subscripts window the owned allocation.
+        let owned = concat(&s("wi"), &s("de")).unwrap();
+        let d = index(&owned, &i(4)).unwrap();
+        assert!(matches!(d, Value::Slice(_)));
         assert_eq!(d.as_str(), Some("e"));
         // Sym subscripts window the canonical interner allocation.
         let sym = Value::interned("symbolic");

@@ -1,3 +1,5 @@
+// The CAS-linked interner's raw node pointers are the workspace's only unsafe code.
+#![allow(unsafe_code)]
 //! Process-wide lock-free symbol interner.
 //!
 //! Variable names (after the resolve pass) and hot string values (the

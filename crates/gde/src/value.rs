@@ -2,7 +2,6 @@
 
 use crate::env::Env;
 use crate::func::ProcValue;
-use crate::strbuf::{BufWindow, StrBuf};
 use crate::sym::Symbol;
 use crate::var::Var;
 use bigint::BigInt;
@@ -213,82 +212,6 @@ impl StrSlice {
     }
 }
 
-/// A window into a builder-arena chunk ([`StrBuf`]): the compact
-/// representation for concatenation results (`ops::concat`).
-///
-/// Like [`StrSlice`] this is a borrowed handle — it pins its chunk and
-/// must be [promoted](Value::promote) at every escape route — but its
-/// owner pointer is *thin* (`StrBuf` is sized), which leaves room for a
-/// cached character count without growing [`Value`] past its 32-byte
-/// budget. The count is filled lazily on the first [`BuiltStr::char_len`]
-/// call (subscripts with negative indices, `*x`) and replayed after.
-pub struct BuiltStr {
-    buf: Arc<StrBuf>,
-    start: u32,
-    len: u32,
-    /// Cached char count; `u32::MAX` = not yet computed.
-    chars: AtomicU32,
-}
-
-impl Clone for BuiltStr {
-    fn clone(&self) -> BuiltStr {
-        BuiltStr {
-            buf: self.buf.clone(),
-            start: self.start,
-            len: self.len,
-            chars: AtomicU32::new(self.chars.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl BuiltStr {
-    /// The viewed text.
-    pub fn as_str(&self) -> &str {
-        self.buf
-            .window(self.start as usize, (self.start + self.len) as usize)
-    }
-
-    /// The arena chunk this window pins.
-    pub fn owner(&self) -> &Arc<StrBuf> {
-        &self.buf
-    }
-
-    pub(crate) fn window(&self) -> BufWindow {
-        BufWindow {
-            buf: self.buf.clone(),
-            start: self.start,
-            len: self.len,
-        }
-    }
-
-    /// `(start, len)` of the window, in bytes of the chunk.
-    pub(crate) fn bounds(&self) -> (u32, u32) {
-        (self.start, self.len)
-    }
-
-    /// Another window of the same chunk (byte coordinates of the chunk,
-    /// which must lie within its published prefix).
-    pub(crate) fn with_bounds(&self, start: u32, len: u32) -> BuiltStr {
-        BuiltStr {
-            buf: self.buf.clone(),
-            start,
-            len,
-            chars: AtomicU32::new(u32::MAX),
-        }
-    }
-
-    /// Character count, computed once and cached.
-    pub fn char_len(&self) -> usize {
-        let cached = self.chars.load(Ordering::Relaxed);
-        if cached != u32::MAX {
-            return cached as usize;
-        }
-        let n = str_char_len(self.as_str());
-        self.chars.store(n as u32, Ordering::Relaxed);
-        n
-    }
-}
-
 /// Character count with the ASCII fast path: all-ASCII text (the hot
 /// case — corpus words, formatted numbers) is `len()` bytes without a
 /// decode walk.
@@ -331,10 +254,6 @@ pub enum Value {
     /// [`StrSlice`]). Must be [promoted](Value::promote) before escaping
     /// its pipeline.
     Slice(StrSlice),
-    /// Borrowed string: a window into a builder-arena chunk (see
-    /// [`BuiltStr`]) — what `ops::concat` yields. Must be
-    /// [promoted](Value::promote) before escaping its pipeline.
-    Built(BuiltStr),
     /// Mutable shared list.
     List(Arc<Mutex<Vec<Value>>>),
     /// Mutable shared table with a default value.
@@ -381,10 +300,6 @@ impl Clone for Value {
             Value::Slice(s) => {
                 obs_on!(crate::obs_hot::value_arc_clones().inc());
                 Value::Slice(s.clone())
-            }
-            Value::Built(s) => {
-                obs_on!(crate::obs_hot::value_arc_clones().inc());
-                Value::Built(s.clone())
             }
             Value::List(l) => {
                 obs_on!(crate::obs_hot::value_arc_clones().inc());
@@ -494,22 +409,11 @@ impl Value {
         });
     }
 
-    /// Wrap a builder-arena window (see [`crate::strbuf`]) as a borrowed
-    /// string value.
-    pub fn built(w: BufWindow) -> Value {
-        Value::Built(BuiltStr {
-            buf: w.buf,
-            start: w.start,
-            len: w.len,
-            chars: AtomicU32::new(u32::MAX),
-        })
-    }
-
-    /// True for the borrowed string forms ([`Value::Slice`],
-    /// [`Value::Built`]) that pin an arena and must be
-    /// [promoted](Value::promote) before escaping their stage.
+    /// True for the borrowed string form ([`Value::Slice`]) that pins a
+    /// line buffer and must be [promoted](Value::promote) before escaping
+    /// its stage.
     pub fn is_borrowed(&self) -> bool {
-        matches!(self, Value::Slice(_) | Value::Built(_))
+        matches!(self, Value::Slice(_))
     }
 
     /// Promote a borrowed handle to an owned value — the escape hatch a
@@ -524,15 +428,11 @@ impl Value {
     /// text. Either way the promoted value no longer pins its line
     /// buffer, so the arena can drop as soon as the pipeline does.
     pub fn promote(self) -> Value {
-        match &self {
-            Value::Slice(s) => Self::promote_text(s.as_str()),
-            Value::Built(s) => Self::promote_text(s.as_str()),
-            _ => self,
-        }
-    }
-
-    fn promote_text(text: &str) -> Value {
+        let Value::Slice(s) = &self else {
+            return self;
+        };
         obs_on!(crate::obs_hot::value_promotions().inc());
+        let text = s.as_str();
         if text.len() <= Self::PROMOTE_INTERN_MAX {
             Value::Sym(Symbol::new(text))
         } else {
@@ -551,7 +451,6 @@ impl Value {
             Value::Str(s) => Some(s),
             Value::Sym(s) => Some(s.as_str()),
             Value::Slice(s) => Some(s.as_str()),
-            Value::Built(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -633,7 +532,7 @@ impl Value {
             Value::Real(r) => Some(Key::RealBits(r.to_bits())),
             Value::Str(s) => Some(Key::Str(s)),
             Value::Sym(s) => Some(Key::Sym(s)),
-            v @ (Value::Slice(_) | Value::Built(_)) => match v.promote() {
+            v @ Value::Slice(_) => match v.promote() {
                 Value::Sym(s) => Some(Key::Sym(s)),
                 Value::Str(s) => Some(Key::Str(s)),
                 _ => unreachable!("promoting a borrowed handle yields a string form"),
@@ -647,9 +546,8 @@ impl Value {
     pub fn size(&self) -> Option<i64> {
         let v = self.deref();
         match &v {
-            // The borrowed forms replay their cached char counts; the
-            // owned forms take the ASCII fast path before decoding.
-            Value::Built(s) => Some(s.char_len() as i64),
+            // The borrowed form replays its cached char count; the owned
+            // forms take the ASCII fast path before decoding.
             Value::Slice(s) => Some(s.char_len() as i64),
             Value::Str(_) | Value::Sym(_) => {
                 Some(str_char_len(v.text().expect("string form")) as i64)
@@ -667,7 +565,7 @@ impl Value {
             Value::Null => "null",
             Value::Int(_) | Value::Big(_) => "integer",
             Value::Real(_) => "real",
-            Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_) => "string",
+            Value::Str(_) | Value::Sym(_) | Value::Slice(_) => "string",
             Value::List(_) => "list",
             Value::Table(_) => "table",
             Value::Proc(_) => "procedure",
@@ -695,11 +593,8 @@ impl Value {
             (Value::Sym(a), Value::Sym(b)) => a == b,
             // Mixed string forms (owned / interned / borrowed) compare by
             // text: the representation is an optimization, not a type.
-            (a @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)), b)
-                if matches!(
-                    b,
-                    Value::Str(_) | Value::Sym(_) | Value::Slice(_) | Value::Built(_)
-                ) =>
+            (a @ (Value::Str(_) | Value::Sym(_) | Value::Slice(_)), b)
+                if matches!(b, Value::Str(_) | Value::Sym(_) | Value::Slice(_)) =>
             {
                 a.text() == b.text()
             }
@@ -723,7 +618,7 @@ impl Value {
             // Crossing a thread boundary is the canonical "outlives its
             // stage" event: borrowed slices promote to owned form so the
             // consumer never pins the producer's line buffers.
-            v @ (Value::Slice(_) | Value::Built(_)) => v.promote(),
+            v @ Value::Slice(_) => v.promote(),
             Value::List(l) => {
                 let items = l.lock().iter().map(Value::deep_copy).collect();
                 Value::list(items)
@@ -799,7 +694,6 @@ impl fmt::Debug for Value {
             Value::Str(s) => write!(f, "{s:?}"),
             Value::Sym(s) => write!(f, "{:?}", s.as_str()),
             Value::Slice(s) => write!(f, "{:?}", s.as_str()),
-            Value::Built(s) => write!(f, "{:?}", s.as_str()),
             Value::List(l) => {
                 let l = l.lock();
                 write!(f, "[")?;
@@ -841,67 +735,16 @@ mod tests {
         // is set by `ProcValue` (a fat `Arc<str>` name plus a fat
         // `Arc<dyn Fn>` — 32 bytes), so the enum is 40 bytes with the
         // tag. The string payloads must stay at or under that 32-byte
-        // line: `StrSlice` spends its headroom on the cached char count,
-        // and `BuiltStr`'s thin chunk pointer keeps it at 24. Adding a
-        // field that pushes any payload past 32 grows *every* Value.
+        // line: `StrSlice` spends its headroom on the cached char count.
+        // Adding a field that pushes any payload past 32 grows *every*
+        // Value.
         assert!(
             std::mem::size_of::<Value>() <= 40,
-            "Value is {} bytes (BuiltStr {}, StrSlice {})",
+            "Value is {} bytes (StrSlice {})",
             std::mem::size_of::<Value>(),
-            std::mem::size_of::<BuiltStr>(),
             std::mem::size_of::<StrSlice>()
         );
         assert!(std::mem::size_of::<StrSlice>() <= 32);
-        assert!(std::mem::size_of::<BuiltStr>() <= 24);
-    }
-
-    #[test]
-    fn built_values_behave_like_strings() {
-        use crate::strbuf::StrBuilder;
-        let mut b = StrBuilder::new();
-        let v = Value::built(b.push_str("héllo"));
-        assert_eq!(v.as_str(), Some("héllo"));
-        assert_eq!(v.type_name(), "string");
-        assert_eq!(v.size(), Some(5)); // chars, not bytes
-        assert_eq!(v.size(), Some(5)); // cached replay
-        assert_eq!(v.to_string(), "héllo");
-        assert_eq!(format!("{v:?}"), "\"héllo\"");
-        assert!(v.is_borrowed());
-        assert!(v.equiv(&Value::str("héllo")));
-        assert!(v.clone().equiv(&v));
-    }
-
-    #[test]
-    fn built_promotes_and_unpins_its_chunk() {
-        use crate::strbuf::StrBuilder;
-        let mut b = StrBuilder::new();
-        let v = Value::built(b.push_str("escape"));
-        let weak = Arc::downgrade(b.chunk());
-        drop(b);
-        let promoted = v.clone().promote();
-        assert!(matches!(promoted, Value::Sym(_)));
-        assert!(!promoted.is_borrowed());
-        // Key and deep_copy take the same hatch.
-        assert_eq!(v.as_key(), Value::str("escape").as_key());
-        assert!(!v.deep_copy().is_borrowed());
-        drop(v);
-        assert!(
-            weak.upgrade().is_none(),
-            "promoted values must not pin the arena chunk"
-        );
-    }
-
-    #[test]
-    fn var_store_promotes_built() {
-        use crate::strbuf::StrBuilder;
-        let mut b = StrBuilder::new();
-        let var = Var::new(Value::built(b.push_str("stored")));
-        assert!(!var.get().is_borrowed());
-        var.set(Value::built(b.push_str("again")));
-        assert!(!var.get().is_borrowed());
-        var.update(|v| *v = Value::built(b.push_str("updated")));
-        assert!(!var.get().is_borrowed());
-        assert_eq!(var.get().as_str(), Some("updated"));
     }
 
     #[test]

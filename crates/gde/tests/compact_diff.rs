@@ -4,8 +4,10 @@
 //! interned `Sym`, and arena-backed `Slice` — are *representations*, not
 //! types: any pipeline must compute the same thing whichever form its
 //! string payloads arrive in. This suite generates random word lists and
-//! random stage pipelines over them (coercions, concatenation, table-key
-//! counting, char expansion, explicit promotion), and runs each pipeline
+//! random stage pipelines over them (coercions, concatenation with string
+//! and numeric images, table-key counting, char expansion, subscript
+//! windows with negative indices, lexical comparison, explicit
+//! promotion), and runs each pipeline
 //! twice — once fed boxed `Value::str` words, once fed compact words
 //! (`Value::slice` windows into one shared line buffer, interleaved with
 //! `Value::interned` handles) — asserting:
@@ -84,7 +86,7 @@ fn build_plan(ops: &[StageOp]) -> (StagePlan, Counters) {
         let c = Arc::new(AtomicUsize::new(0));
         counters.push(Arc::clone(&c));
         let m = k.rem_euclid(4) + 1; // 1..=4
-        plan = match code % 7 {
+        plan = match code % 10 {
             // Numeric coercion: parses numeric words, drops the rest.
             0 => plan.filter_map(move |v| {
                 c.fetch_add(1, Ordering::Relaxed);
@@ -132,10 +134,37 @@ fn build_plan(ops: &[StageOp]) -> (StagePlan, Counters) {
                 Box::new(gde::comb::promote_value(v.clone())) as BoxGen
             }),
             // First-char subscript: 1-based indexing through the string.
-            _ => plan.filter_map(move |v| {
+            6 => plan.filter_map(move |v| {
                 c.fetch_add(1, Ordering::Relaxed);
                 gde::ops::index(v, &Value::from(1))
             }),
+            // Numeric-image concat (`w || count`): the right operand
+            // coerces through the small-int cache or the stack formatter.
+            7 => plan.filter_map(move |v| {
+                c.fetch_add(1, Ordering::Relaxed);
+                gde::ops::concat(v, &Value::from(k.rem_euclid(300)))
+            }),
+            // Subscript windows: `v[i]` for i in -3..=3 (zero and negative
+            // count from the end, through multi-byte words too); odd `k`
+            // joins the adjacent window, `v[i] || v[i+1]`.
+            8 => plan.filter_map(move |v| {
+                c.fetch_add(1, Ordering::Relaxed);
+                let i = k.rem_euclid(7) - 3;
+                let first = gde::ops::index(v, &Value::from(i))?;
+                match gde::ops::index(v, &Value::from(i + 1)) {
+                    Some(next) if k % 2 != 0 => gde::ops::concat(&first, &next),
+                    _ => Some(first),
+                }
+            }),
+            // Lexical comparison: coerces through the borrowed text path
+            // (`NumBuf`), keeping values below the threshold.
+            _ => {
+                let threshold = Value::str(word(k.rem_euclid(64) as u16));
+                plan.filter(move |v| {
+                    c.fetch_add(1, Ordering::Relaxed);
+                    gde::ops::str_lt(v, &threshold).is_some()
+                })
+            }
         };
     }
     (plan, counters)
@@ -163,7 +192,7 @@ proptest! {
     #[test]
     fn compact_and_boxed_sources_agree(
         word_recipe in prop::collection::vec(any::<u16>(), 0..24),
-        ops in prop::collection::vec((0u8..=6, any::<i64>()), 0..6),
+        ops in prop::collection::vec((0u8..=9, any::<i64>()), 0..6),
     ) {
         let words: Vec<String> = word_recipe.iter().map(|&n| word(n)).collect();
         let (plan_b, counters_b) = build_plan(&ops);

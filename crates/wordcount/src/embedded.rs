@@ -59,11 +59,9 @@ fn line_buffer(line: &Value) -> Option<std::sync::Arc<str>> {
     match line {
         Value::Str(s) => Some(s.clone()),
         Value::Sym(s) => Some(s.arc()),
-        // A slice-of-a-slice would need nested offsets, and builder-arena
-        // lines would thread a second owner type through the splitter;
-        // both are cold here — re-own the window instead.
+        // A slice-of-a-slice would need nested offsets; it is cold here,
+        // so re-own the window instead.
         Value::Slice(s) => Some(std::sync::Arc::from(s.as_str())),
-        Value::Built(s) => Some(std::sync::Arc::from(s.as_str())),
         _ => None,
     }
 }
@@ -373,57 +371,6 @@ pub fn data_parallel_sized(corpus: &Corpus, weight: Weight, chunk_size: usize) -
     sum_gen(Box::new(hashes), 0.0)
 }
 
-/// Word-frequency report: one `word=count` line per distinct word, in
-/// first-appearance order — the string-plane twin of
-/// [`crate::native::frequency_report`].
-///
-/// This is the concat-heavy embedded program: counts accumulate in a
-/// dynamic table keyed by *borrowed* word handles (promoted to owned
-/// keys by [`Value::as_key`]), and each report line is built with the
-/// goal-directed `||` ([`gde::ops::concat`]) — `word || "=" || count` —
-/// so the first hop lands in the builder arena and the second extends
-/// that window in place (the `gde.value.concat_slices` tail-extension
-/// path), while the count image comes from the small-int coercion
-/// cache. Figure 6 runs it once, untimed, so the obs snapshot proves
-/// the arena is actually on the measured runtime's hot path.
-pub fn frequency_report(corpus: &Corpus) -> Vec<String> {
-    let counts = Value::table();
-    let Value::Table(table) = &counts else {
-        unreachable!("Value::table builds a table");
-    };
-    let mut words = word_stream(corpus.as_value());
-    while let Some(w) = words.next_value() {
-        let Some(key) = w.as_key() else { continue };
-        let mut t = table.lock();
-        let n = t.entries.get(&key).and_then(|v| v.as_int()).unwrap_or(0);
-        t.entries.insert(key, Value::from(n + 1));
-    }
-    // Second pass replays the stream in first-appearance order; writing
-    // a zero count back marks a word as already reported.
-    let eq = Value::interned("=");
-    let mut report = Vec::new();
-    let mut words = word_stream(corpus.as_value());
-    while let Some(w) = words.next_value() {
-        let Some(key) = w.as_key() else { continue };
-        let n = {
-            let mut t = table.lock();
-            let n = t.entries.get(&key).and_then(|v| v.as_int()).unwrap_or(0);
-            if n > 0 {
-                t.entries.insert(key, Value::from(0));
-            }
-            n
-        };
-        if n == 0 {
-            continue;
-        }
-        let line = gde::ops::concat(&w, &eq)
-            .and_then(|l| gde::ops::concat(&l, &Value::from(n)))
-            .expect("string forms concatenate");
-        report.push(line.to_string());
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,21 +461,6 @@ mod tests {
         let tiny = Corpus::generate(2, 4, 28);
         let seq = sequential(&tiny, Weight::Light);
         assert_eq!(seq, fan_in(&tiny, Weight::Light, 8, 8, 3));
-    }
-
-    #[test]
-    fn frequency_report_matches_native_bytewise() {
-        let c = Corpus::generate(30, 6, 31);
-        let native = crate::native::frequency_report(c.lines());
-        let embedded = frequency_report(&c);
-        assert!(!native.is_empty());
-        assert_eq!(native, embedded);
-    }
-
-    #[test]
-    fn frequency_report_counts_repeats() {
-        let c = Corpus::from_lines(vec!["ab cd ab".to_string(), "cd ab e".to_string()]);
-        assert_eq!(frequency_report(&c), vec!["ab=3", "cd=2", "e=1"]);
     }
 
     #[test]

@@ -238,29 +238,6 @@ pub fn data_parallel_on(
     total
 }
 
-/// Word-frequency report: one `word=count` line per distinct word, in
-/// first-appearance order — the plain-Rust reference the embedded
-/// string-plane variant ([`crate::embedded::frequency_report`]) must
-/// match byte-for-byte.
-pub fn frequency_report(lines: &[String]) -> Vec<String> {
-    let mut counts: std::collections::HashMap<&str, i64> = std::collections::HashMap::new();
-    for line in lines {
-        for w in split_words(line) {
-            *counts.entry(w).or_insert(0) += 1;
-        }
-    }
-    let mut seen = std::collections::HashSet::new();
-    let mut report = Vec::new();
-    for line in lines {
-        for w in split_words(line) {
-            if seen.insert(w) {
-                report.push(format!("{w}={}", counts[w]));
-            }
-        }
-    }
-    report
-}
-
 fn default_pool() -> Arc<ThreadPool> {
     let n = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)

@@ -169,10 +169,9 @@ echo "   -- value representation (Str vs Sym vs Slice):"
 TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
     cargo bench --offline -q -p bench --bench value_repr \
     | grep -E "value_repr/" | sed 's/^/      /'
-# String plane: builder-arena concat vs owned, coerced compares, and
-# byte-indexed subscripting, re-measured cheaply every run (see DESIGN.md
-# § String builder arena).
-echo "   -- string plane (builder vs owned concat, coercions, subscripts):"
+# String plane: concat, coerced compares, and byte-indexed subscripting,
+# re-measured cheaply every run (see DESIGN.md § String plane).
+echo "   -- string plane (concat, coercions, subscripts):"
 TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
     cargo bench --offline -q -p bench --bench str_ops \
     | grep -E "str_ops/" | sed 's/^/      /'
@@ -193,17 +192,14 @@ TINYBENCH_SAMPLES=5 TINYBENCH_WARMUP_MS=10 TINYBENCH_SAMPLE_MS=1 \
 #                   still reach the stage-fusion rewriter;
 #   compact-values  gde.value.inline_hits > 0 — the compact value
 #                   representation is still on the hot path;
-#   concat-slices   gde.value.concat_slices > 0 — concatenation still
-#                   reaches the builder arena's zero-copy regimes
-#                   (widening / tail extension);
 #   faults          FAULTS_ci.json (fault_smoke above) shows every fault
 #                   counter non-zero: faults.injected, the pipe policy
 #                   counters, and blockingq.close.failed — a renamed key
 #                   or a dead recovery surface FAILs loudly;
 #   seq-lw-ratio    Junicon/Native Sequential-Lightweight median ratio.
-#                   The allocation-free string plane (ISSUE 9: builder
-#                   arena, batched hot-loop instrumentation, generator
-#                   recycling at flat barriers) brought the committed
+#                   The string plane (coercion caches, batched hot-loop
+#                   instrumentation, generator recycling at flat
+#                   barriers) brought the committed
 #                   full-size baseline to ~1.40x (from ~1.53x after
 #                   ISSUE 7, ~1.73x at seed); gate at baseline + 15%
 #                   headroom = 1.61.
